@@ -1,5 +1,7 @@
 #include "common/strings.h"
 
+#include <charconv>
+
 namespace chainsplit {
 
 std::string StrJoin(const std::vector<std::string>& parts,
@@ -29,6 +31,19 @@ std::vector<std::string> StrSplit(std::string_view text, char sep) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+StatusOr<int64_t> ParseInt64(std::string_view text, int64_t min,
+                             int64_t max) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max) {
+    return InvalidArgumentError(StrCat("expected an integer in [", min, ", ",
+                                       max, "], got \"", text, "\""));
+  }
+  return value;
 }
 
 }  // namespace chainsplit

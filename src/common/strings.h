@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace chainsplit {
 
 /// Concatenates the string representations of all arguments, using
@@ -27,6 +29,13 @@ std::vector<std::string> StrSplit(std::string_view text, char sep);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses all of `text` as a base-10 integer in [min, max]. Empty
+/// input, a sign-only or non-digit string, trailing characters and
+/// out-of-range values are kInvalidArgument — never a silent 0 or a
+/// wrapped value, as atoi/atoll would give.
+StatusOr<int64_t> ParseInt64(std::string_view text, int64_t min,
+                             int64_t max);
 
 }  // namespace chainsplit
 

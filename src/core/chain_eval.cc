@@ -91,18 +91,9 @@ StatusOr<Relation> TransitiveClosureFrom(const Relation& edge,
                                          int64_t max_iterations,
                                          TcStats* stats,
                                          const CancelToken* cancel) {
-  Relation result(2);
-  CS_RETURN_IF_ERROR(TransitiveClosureFromInto(edge, seeds, max_iterations,
-                                               &result, stats, cancel));
-  return result;
-}
-
-Status TransitiveClosureFromInto(const Relation& edge,
-                                 const std::vector<TermId>& seeds,
-                                 int64_t max_iterations, Relation* result,
-                                 TcStats* stats, const CancelToken* cancel) {
   *stats = TcStats{};
   Relation::Telemetry edge_before = edge.telemetry();
+  Relation result(2);
   Relation delta(2);
   const std::vector<int> from_col = {0};
   Tuple out(2);
@@ -110,14 +101,14 @@ Status TransitiveClosureFromInto(const Relation& edge,
     out[0] = seed;
     edge.ProbeEach(from_col, &seed, [&](int64_t j) {
       out[1] = edge.row(j)[1];
-      if (result->Insert(out)) delta.Insert(out);
+      if (result.Insert(out)) delta.Insert(out);
     });
   }
   stats->delta_tuples += delta.size();
-  CS_RETURN_IF_ERROR(Closure(edge, result, std::move(delta), max_iterations,
+  CS_RETURN_IF_ERROR(Closure(edge, &result, std::move(delta), max_iterations,
                              stats, cancel));
-  FinishTelemetry(edge, *result, edge_before, stats);
-  return Status::Ok();
+  FinishTelemetry(edge, result, edge_before, stats);
+  return result;
 }
 
 StatusOr<Relation> TransitiveClosure(const Relation& edge,

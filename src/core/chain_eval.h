@@ -33,19 +33,6 @@ StatusOr<Relation> TransitiveClosureFrom(const Relation& edge,
                                          TcStats* stats,
                                          const CancelToken* cancel = nullptr);
 
-/// Evaluate-into-layer form of TransitiveClosureFrom: accumulates the
-/// closure into `*result` (arity 2), which may already hold rows —
-/// e.g. a per-stratum overlay relation seeded by a predecessor
-/// stratum; pre-existing pairs are kept and not re-derived. `cancel`
-/// is checked once per closure round, so a per-stratum child token
-/// (core/scc_schedule.h) cuts a long chain mid-fixpoint with `*stats`
-/// holding the partial rounds.
-Status TransitiveClosureFromInto(const Relation& edge,
-                                 const std::vector<TermId>& seeds,
-                                 int64_t max_iterations, Relation* result,
-                                 TcStats* stats,
-                                 const CancelToken* cancel = nullptr);
-
 /// Full semi-naive transitive closure of `edge`. Used by the
 /// merged-chain experiment (E8) as the per-chain evaluation whose cost
 /// is compared against iterating the merged cross-product chain.

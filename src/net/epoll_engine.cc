@@ -104,6 +104,7 @@ void EpollEngine::Accept() {
       // listen-ready event rather than spinning.
       return;
     }
+    SetNoDelay(fd);  // best effort: without it replies are only slower
     auto conn = std::make_unique<Conn>(options_.max_line_bytes);
     conn->id = next_conn_id_++;
     conn->fd = fd;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -55,6 +56,15 @@ Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return InternalError(StrCat("fcntl O_NONBLOCK: ", std::strerror(errno)));
+  }
+  return Status::Ok();
+}
+
+Status SetNoDelay(int fd) {
+  int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return InternalError(StrCat("setsockopt TCP_NODELAY: ",
+                                std::strerror(errno)));
   }
   return Status::Ok();
 }

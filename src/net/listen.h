@@ -20,6 +20,12 @@ StatusOr<int> BoundPort(int listen_fd);
 /// Sets O_NONBLOCK on `fd`.
 Status SetNonBlocking(int fd);
 
+/// Sets TCP_NODELAY on `fd`, an accepted connection: each response is
+/// small and complete, so Nagle's algorithm would only hold it back
+/// until the client's delayed ACK (tens of ms for a pipelining
+/// client). Every accept path calls this.
+Status SetNoDelay(int fd);
+
 }  // namespace chainsplit
 
 #endif  // CHAINSPLIT_NET_LISTEN_H_

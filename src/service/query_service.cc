@@ -68,15 +68,6 @@ void QueryService::InitMetrics() {
       "csdd_result_cache_stale_skips_total",
       "Result-cache inserts skipped because the rules epoch moved "
       "between evaluation and the insert");
-  c_.scc_schedules = registry_.AddCounter(
-      "csdd_scc_schedules_total",
-      "Queries evaluated through the stratified SCC scheduler");
-  c_.scc_strata = registry_.AddCounter(
-      "csdd_scc_strata_total",
-      "SCC strata evaluated by the stratified scheduler");
-  c_.scc_parallel_strata = registry_.AddCounter(
-      "csdd_scc_parallel_strata_total",
-      "SCC strata dispatched onto the thread pool in parallel");
   c_.deadline_exceeded = registry_.AddCounter(
       "csdd_evals_cut_total", "Evaluations cut short, by cause",
       {{"cause", "deadline_exceeded"}});
@@ -174,11 +165,6 @@ void QueryService::AccumulateEvalStats(const QueryResponse& response) {
   c_.derived_tuples->Inc(response.seminaive_stats.total_derived);
   c_.chain_levels->Inc(response.buffered_stats.levels);
   c_.sld_steps->Inc(response.topdown_stats.steps);
-  if (response.scc_strata > 0) {
-    c_.scc_schedules->Inc();
-    c_.scc_strata->Inc(response.scc_strata);
-    c_.scc_parallel_strata->Inc(response.scc_parallel_strata);
-  }
 }
 
 QueryService::~QueryService() {
@@ -413,9 +399,6 @@ ServiceStats QueryService::stats() const {
   out.result_cache_misses = c_.result_cache_misses->Value();
   out.result_cache_invalidations = c_.result_cache_invalidations->Value();
   out.result_cache_stale_skips = c_.result_cache_stale_skips->Value();
-  out.scc_schedules = c_.scc_schedules->Value();
-  out.scc_strata = c_.scc_strata->Value();
-  out.scc_parallel_strata = c_.scc_parallel_strata->Value();
   out.deadline_exceeded = c_.deadline_exceeded->Value();
   out.cancelled = c_.cancelled->Value();
   out.shared_evals = c_.shared_evals->Value();
@@ -511,15 +494,12 @@ Status QueryService::RunPlanner(EvalDb* eval_db,
                                 const ::chainsplit::Query& query,
                                 const std::string& signature,
                                 const CancelToken* cancel, Trace* trace,
-                                int parallel_scc, QueryResponse* response,
+                                QueryResponse* response,
                                 QueryResult* result) {
   PlannerOptions planner = options_.planner;
   planner.cancel = cancel;
   planner.trace = trace;
   planner.rectified = RectifiedRules();
-  // Per-request opt-in wins over the service default; the shared pool
-  // serves every request (scc_pool stays null).
-  if (parallel_scc > 0) planner.parallel_scc = parallel_scc;
 
   std::shared_ptr<PlanEntry> plan;
   if (options_.enable_plan_cache && !signature.empty() &&
@@ -599,16 +579,12 @@ QueryResponse QueryService::EvaluateOn(EvalDb* eval_db,
 
   QueryResult result;
   response.status = RunPlanner(eval_db, query, signature, cancel,
-                               request.trace, request.parallel_scc, &response,
-                               &result);
+                               request.trace, &response, &result);
   response.technique = result.technique;
   response.plan = std::move(result.plan);
   response.seminaive_stats = result.seminaive_stats;
   response.buffered_stats = result.buffered_stats;
   response.topdown_stats = result.topdown_stats;
-  response.scc_strata = result.scc_strata;
-  response.scc_parallel_strata = result.scc_parallel_strata;
-  response.scc_max_ready_width = result.scc_max_ready_width;
   if (!response.status.ok()) return response;
 
   const TermPool& pool =

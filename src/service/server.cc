@@ -126,7 +126,6 @@ StatusOr<int> TcpServer::StartEpoll(int listen_fd) {
   session_options.tcp_mode = true;
   session_options.cancel = &shutdown_;
   session_options.net = &counters_;
-  session_options.parallel_scc = options_.parallel_scc;
   EngineOptions engine_options;
   engine_options.queue_capacity = options_.queue_capacity;
   engine_options.workers = options_.workers;
@@ -161,6 +160,7 @@ void TcpServer::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listen socket closed
     }
+    SetNoDelay(fd);  // best effort: without it replies are only slower
     counters_.accepted.fetch_add(1, std::memory_order_relaxed);
     counters_.active_connections.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
@@ -195,7 +195,6 @@ void TcpServer::ServeConnection(int fd,
   session_options.tcp_mode = true;
   session_options.cancel = &shutdown_;
   session_options.net = &counters_;
-  session_options.parallel_scc = options_.parallel_scc;
   Session session(service_, session_options);
 
   std::string banner = "% chainsplit ready\n.\n";

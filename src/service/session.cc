@@ -1,16 +1,22 @@
 #include "service/session.h"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "common/strings.h"
 
 namespace chainsplit {
+namespace {
+
+// Bounds of the numeric command arguments: a :csv arity beyond any
+// sensible relation width, and a deadline of ~24 days (2^31 - 1 ms).
+constexpr int64_t kMaxArity = 1024;
+constexpr int64_t kMaxDeadlineMs = 2147483647;
+
+}  // namespace
 
 Session::Session(QueryService* service, SessionOptions options)
     : service_(service), options_(options) {
   request_.cancel = options_.cancel;
-  request_.parallel_scc = options_.parallel_scc;
 }
 
 const char* Session::HelpText() {
@@ -22,8 +28,6 @@ const char* Session::HelpText() {
       "  :plan                   toggle plan printing\n"
       "  :stats                  toggle evaluation statistics\n"
       "  :deadline MS            per-query deadline (0 = none)\n"
-      "  :parallel N             SCC-parallel evaluation with N workers\n"
-      "                          (0 = monolithic, 1 = stratified serial)\n"
       "  :preds                  list predicates with stored facts\n"
       "  :cache [json]           service cache/deadline counters\n"
       "  :net [json]             network front-end counters\n"
@@ -117,9 +121,13 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
     if (parts.size() != 2 || spec.size() != 2) {
       ++error_count_;
       *out += "usage: :csv PRED/ARITY FILE\n";
+    } else if (StatusOr<int64_t> arity = ParseInt64(spec[1], 1, kMaxArity);
+               !arity.ok()) {
+      ++error_count_;
+      *out += StrCat("error: :csv arity: ", arity.status().ToString(), "\n");
     } else {
       StatusOr<int64_t> loaded = service_->LoadCsv(
-          spec[0], std::atoi(spec[1].c_str()), parts[1]);
+          spec[0], static_cast<int>(*arity), parts[1]);
       if (!loaded.ok()) {
         ++error_count_;
         *out += StrCat("error: ", loaded.status().ToString(), "\n");
@@ -135,16 +143,14 @@ bool Session::HandleCommand(const std::string& line, std::string* out) {
     options_.show_stats = !options_.show_stats;
     *out += StrCat("% statistics ", options_.show_stats ? "on" : "off", "\n");
   } else if (cmd == ":deadline") {
-    request_.deadline = std::chrono::milliseconds(std::atoll(args.c_str()));
-    *out += StrCat("% deadline ", request_.deadline.count(), " ms\n");
-  } else if (cmd == ":parallel") {
-    request_.parallel_scc = std::atoi(args.c_str());
-    *out += request_.parallel_scc == 0
-                ? std::string("% parallel scc off (monolithic)\n")
-                : StrCat("% parallel scc ", request_.parallel_scc,
-                         request_.parallel_scc == 1 ? " (stratified serial)"
-                                                    : " workers",
-                         "\n");
+    StatusOr<int64_t> ms = ParseInt64(args, 0, kMaxDeadlineMs);
+    if (!ms.ok()) {
+      ++error_count_;
+      *out += StrCat("error: :deadline: ", ms.status().ToString(), "\n");
+    } else {
+      request_.deadline = std::chrono::milliseconds(*ms);
+      *out += StrCat("% deadline ", request_.deadline.count(), " ms\n");
+    }
   } else if (cmd == ":preds") {
     for (const auto& [name, size] : service_->ListPredicates()) {
       *out += StrCat("  ", name, "  ", size, " tuples\n");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -92,6 +94,26 @@ TEST(StringsTest, StrSplit) {
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("m_scsg__bf", "m_"));
   EXPECT_FALSE(StartsWith("m", "m_"));
+}
+
+TEST(StringsTest, ParseInt64AcceptsWholeIntegersInRange) {
+  EXPECT_EQ(*ParseInt64("0", 0, 10), 0);
+  EXPECT_EQ(*ParseInt64("10", 0, 10), 10);
+  EXPECT_EQ(*ParseInt64("-5", -5, 5), -5);
+  EXPECT_EQ(*ParseInt64("9223372036854775807", 0, INT64_MAX), INT64_MAX);
+}
+
+TEST(StringsTest, ParseInt64RejectsMalformedInput) {
+  for (const char* bad : {"", "abc", "12x", "1.5", " 7", "7 ", "+7", "-",
+                          "0x10", "99999999999999999999"}) {
+    StatusOr<int64_t> value = ParseInt64(bad, INT64_MIN, INT64_MAX);
+    EXPECT_FALSE(value.ok()) << '"' << bad << '"';
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(ParseInt64("-1", 0, 10).ok());  // below the range
+  EXPECT_FALSE(ParseInt64("11", 0, 10).ok());  // above the range
+  EXPECT_NE(ParseInt64("abc", 1, 9).status().message().find("[1, 9]"),
+            std::string::npos);
 }
 
 TEST(HashTest, HashVectorDiscriminates) {

@@ -4,6 +4,9 @@
 // idle-connection scalability, and fd/thread leak checks.
 
 #include <dirent.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -478,6 +481,35 @@ TEST(NetServerTest, ConfigurableListenAddrAndBacklog) {
   ASSERT_TRUE(client.connected());
   EXPECT_NE(client.ReadFrame().find("ready"), std::string::npos);
   server.Stop();
+}
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) < 0) {
+    return -1;
+  }
+  return value;
+}
+
+// Both accept paths (EpollEngine::Accept, TcpServer::AcceptLoop) call
+// SetNoDelay on every accepted socket; checked here on a loopback pair.
+TEST(NetServerTest, SetNoDelayDisablesNagleOnAcceptedSocket) {
+  StatusOr<int> listen_fd = OpenListenSocket("127.0.0.1", 0, 4);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status();
+  StatusOr<int> port = BoundPort(*listen_fd);
+  ASSERT_TRUE(port.ok()) << port.status();
+  BlockingClient client("127.0.0.1", *port);
+  ASSERT_TRUE(client.connected());
+  int accepted = ::accept(*listen_fd, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  EXPECT_EQ(NoDelayOf(accepted), 0);  // Nagle is on by default
+  EXPECT_TRUE(SetNoDelay(accepted).ok());
+  EXPECT_NE(NoDelayOf(accepted), 0);
+  EXPECT_EQ(NoDelayOf(client.fd()), 0);  // the peer is unaffected
+  ::close(accepted);
+  ::close(*listen_fd);
+  EXPECT_FALSE(SetNoDelay(accepted).ok());  // closed fd: an error
 }
 
 TEST(NetServerTest, RejectsInvalidListenAddr) {

@@ -112,6 +112,9 @@ up(M) :- up(N), M is N + 1.
   Status status = Run(options);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  // The failed run still reports the work it did.
+  EXPECT_GE(stats_.iterations, options.max_iterations);
+  EXPECT_GT(stats_.total_derived, 0);
 }
 
 TEST_F(SemiNaiveTest, TupleCapTriggers) {

@@ -30,13 +30,9 @@
 //   --trace                    start with per-query tracing on
 //                              (`:trace last` prints the newest trace)
 //
-// Evaluation flags (docs/service.md §Parallel SCC evaluation):
-//   --parallel-scc=N           evaluate uncached queries SCC-by-SCC
-//                              with up to N concurrent strata (0 =
-//                              monolithic default, 1 = stratified
-//                              serial); applies to the REPL and every
-//                              server session, `:parallel N` overrides
-//                              per session
+// Numeric flag values must be whole integers in the flag's range, and
+// any other argument starting with "--" is an unknown option: both
+// print an error (the latter with the usage text) and exit nonzero.
 //
 // Loads each program file (facts, rules; queries in files run
 // immediately), then reads from stdin:
@@ -67,11 +63,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/strings.h"
@@ -82,6 +80,40 @@
 namespace chainsplit {
 namespace {
 
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMaxPort = 65535;
+constexpr int64_t kMaxWorkers = 1024;
+
+void PrintUsage() {
+  std::printf(
+      "usage: csdd [--serve PORT] [--net-mode=epoll|threaded]\n"
+      "            [--listen-addr=ADDR] [--listen-backlog=N]\n"
+      "            [--net-workers=N] [--net-queue=N] [--max-line=BYTES]\n"
+      "            [--data-dir=DIR] [--wal-sync=always|interval|none]\n"
+      "            [--wal-sync-interval=MS] [--snapshot-every=N]\n"
+      "            [--slow-query-ms=N] [--slow-query-dir=DIR] [--trace]\n"
+      "            [program.dl ...]\n%s",
+      Session::HelpText());
+}
+
+/// Parses `text`, the value of numeric option `name` ("--x" or
+/// "--x="), into `*out` when it is an integer in [min, max]; otherwise
+/// prints the error and returns false.
+template <typename T>
+bool ParseNumber(std::string_view name, std::string_view text, int64_t min,
+                 int64_t max, T* out) {
+  StatusOr<int64_t> value = ParseInt64(text, min, max);
+  if (!value.ok()) {
+    if (name.back() == '=') name.remove_suffix(1);
+    std::printf("error: %.*s: %s\n", static_cast<int>(name.size()),
+                name.data(), value.status().ToString().c_str());
+    return false;
+  }
+  *out = static_cast<T>(*value);
+  return true;
+}
+
 int Run(int argc, char** argv) {
   int serve_port = -1;
   ServerOptions server_options;
@@ -91,70 +123,77 @@ int Run(int argc, char** argv) {
   bool trace_on = false;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--serve" && i + 1 < argc) {
-      serve_port = std::atoi(argv[++i]);
-    } else if (StartsWith(arg, "--serve=")) {
-      serve_port = std::atoi(arg.c_str() + 8);
-    } else if (StartsWith(arg, "--data-dir=")) {
-      durability.data_dir = arg.substr(11);
-    } else if (StartsWith(arg, "--wal-sync=")) {
-      StatusOr<WalSyncPolicy> policy = ParseWalSyncPolicy(arg.substr(11));
+    const std::string arg = argv[i];
+    // "--name=value" options match on `name` (with its '='); flags and
+    // program files match on the whole argument.
+    const size_t eq = arg.find('=');
+    const std::string name = eq == std::string::npos ? arg
+                                                     : arg.substr(0, eq + 1);
+    const std::string value =
+        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
+    bool ok = true;
+    if (arg == "--serve") {
+      if (i + 1 == argc) {
+        std::printf("error: --serve needs a PORT\n");
+        return 1;
+      }
+      ok = ParseNumber("--serve", argv[++i], 0, kMaxPort, &serve_port);
+    } else if (name == "--serve=") {
+      ok = ParseNumber(name, value, 0, kMaxPort, &serve_port);
+    } else if (name == "--data-dir=") {
+      durability.data_dir = value;
+    } else if (name == "--wal-sync=") {
+      StatusOr<WalSyncPolicy> policy = ParseWalSyncPolicy(value);
       if (!policy.ok()) {
         std::printf("error: %s\n", policy.status().ToString().c_str());
         return 1;
       }
       durability.wal.sync = *policy;
-    } else if (StartsWith(arg, "--wal-sync-interval=")) {
-      durability.wal.sync_interval_ms = std::atoi(arg.c_str() + 20);
-    } else if (StartsWith(arg, "--snapshot-every=")) {
-      durability.snapshot_every_records = std::atoll(arg.c_str() + 17);
-    } else if (StartsWith(arg, "--slow-query-ms=")) {
-      slow_query_ms = std::atoll(arg.c_str() + 16);
-    } else if (StartsWith(arg, "--slow-query-dir=")) {
-      slow_query_dir = arg.substr(17);
+    } else if (name == "--wal-sync-interval=") {
+      ok = ParseNumber(name, value, 1, kIntMax,
+                       &durability.wal.sync_interval_ms);
+    } else if (name == "--snapshot-every=") {
+      ok = ParseNumber(name, value, 0, kInt64Max,
+                       &durability.snapshot_every_records);
+    } else if (name == "--slow-query-ms=") {
+      ok = ParseNumber(name, value, 0, kIntMax, &slow_query_ms);
+    } else if (name == "--slow-query-dir=") {
+      slow_query_dir = value;
     } else if (arg == "--trace") {
       trace_on = true;
-    } else if (StartsWith(arg, "--net-mode=")) {
-      std::string mode = arg.substr(11);
-      if (mode == "epoll") {
+    } else if (name == "--net-mode=") {
+      if (value == "epoll") {
         server_options.mode = ServerOptions::Mode::kEpoll;
-      } else if (mode == "threaded") {
+      } else if (value == "threaded") {
         server_options.mode = ServerOptions::Mode::kThreaded;
       } else {
         std::printf("error: --net-mode must be epoll or threaded\n");
         return 1;
       }
-    } else if (StartsWith(arg, "--listen-addr=")) {
-      server_options.listen_addr = arg.substr(14);
-    } else if (StartsWith(arg, "--listen-backlog=")) {
-      server_options.listen_backlog = std::atoi(arg.c_str() + 17);
-    } else if (StartsWith(arg, "--net-workers=")) {
-      server_options.workers = std::atoi(arg.c_str() + 14);
-    } else if (StartsWith(arg, "--net-queue=")) {
-      server_options.queue_capacity =
-          static_cast<size_t>(std::atoll(arg.c_str() + 12));
-    } else if (StartsWith(arg, "--max-line=")) {
-      server_options.max_line_bytes =
-          static_cast<size_t>(std::atoll(arg.c_str() + 11));
-    } else if (StartsWith(arg, "--parallel-scc=")) {
-      server_options.parallel_scc = std::atoi(arg.c_str() + 15);
+    } else if (name == "--listen-addr=") {
+      server_options.listen_addr = value;
+    } else if (name == "--listen-backlog=") {
+      ok = ParseNumber(name, value, 0, kIntMax,
+                       &server_options.listen_backlog);
+    } else if (name == "--net-workers=") {
+      ok = ParseNumber(name, value, 0, kMaxWorkers, &server_options.workers);
+    } else if (name == "--net-queue=") {
+      ok = ParseNumber(name, value, 1, kIntMax,
+                       &server_options.queue_capacity);
+    } else if (name == "--max-line=") {
+      ok = ParseNumber(name, value, 0, kInt64Max,
+                       &server_options.max_line_bytes);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: csdd [--serve PORT] [--net-mode=epoll|threaded]\n"
-          "            [--listen-addr=ADDR] [--listen-backlog=N]\n"
-          "            [--net-workers=N] [--net-queue=N] "
-          "[--max-line=BYTES]\n"
-          "            [--data-dir=DIR] [--wal-sync=always|interval|none]\n"
-          "            [--wal-sync-interval=MS] [--snapshot-every=N]\n"
-          "            [--slow-query-ms=N] [--slow-query-dir=DIR] "
-          "[--trace]\n"
-          "            [--parallel-scc=N] [program.dl ...]\n%s",
-          Session::HelpText());
+      PrintUsage();
       return 0;
+    } else if (StartsWith(arg, "--")) {
+      std::printf("error: unknown option %s\n", arg.c_str());
+      PrintUsage();
+      return 1;
     } else {
-      files.push_back(std::move(arg));
+      files.push_back(arg);
     }
+    if (!ok) return 1;
   }
 
   // Block SIGINT/SIGTERM before any thread exists (the durability
@@ -207,9 +246,7 @@ int Run(int argc, char** argv) {
                 slow_query_dir.c_str());
     std::fflush(stdout);
   }
-  SessionOptions repl_options;
-  repl_options.parallel_scc = server_options.parallel_scc;
-  Session session(&service, repl_options);
+  Session session(&service);
   int load_errors = 0;
   for (const std::string& file : files) {
     int errors_before = session.error_count();
@@ -246,9 +283,15 @@ int Run(int argc, char** argv) {
         std::printf("%% already serving on port %d\n", server->port());
         continue;
       }
+      std::string_view port_text = std::string_view(line).substr(6);
+      if (StartsWith(port_text, " ")) port_text.remove_prefix(1);
+      int serve_at = 0;
+      if (!ParseNumber(":serve", port_text, 0, kMaxPort, &serve_at)) {
+        ++stdin_errors;
+        continue;
+      }
       server = std::make_unique<TcpServer>(&service, server_options);
-      StatusOr<int> port =
-          server->Start(std::atoi(line.c_str() + 6));
+      StatusOr<int> port = server->Start(serve_at);
       if (!port.ok()) {
         std::printf("error: %s\n", port.status().ToString().c_str());
         server.reset();
