@@ -59,11 +59,13 @@ void TopDownSld(benchmark::State& state) {
 
 BENCHMARK(BufferedSplit)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(4)
     ->Range(16, 16384)
     ->Complexity(benchmark::oN);
 BENCHMARK(TopDownSld)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(4)
     ->Range(16, 16384)
     ->Complexity(benchmark::oN);

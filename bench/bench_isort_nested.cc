@@ -86,16 +86,19 @@ void CountingMethod(benchmark::State& state) {
 
 BENCHMARK(BufferedSplit)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity(benchmark::oNSquared);
 BENCHMARK(TopDownSld)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity(benchmark::oNSquared);
 BENCHMARK(CountingMethod)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity(benchmark::oNSquared);

@@ -52,11 +52,13 @@ void IsortForComparison(benchmark::State& state) {
 
 BENCHMARK(Qsort)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity(benchmark::oNLogN);
 BENCHMARK(IsortForComparison)
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity(benchmark::oNSquared);

@@ -34,20 +34,50 @@ TermId Substitution::Lookup(TermId var) const {
 TermId Substitution::Resolve(TermId t, TermPool& pool) const {
   t = Walk(t, pool);
   if (!pool.IsCompound(t) || pool.IsGround(t)) return t;
-  std::vector<TermId> resolved;
-  auto args = pool.args(t);
-  resolved.reserve(args.size());
-  bool changed = false;
-  for (TermId a : args) {
-    TermId r = Resolve(a, pool);
-    changed = changed || (r != a);
-    resolved.push_back(r);
+  // Post-order over an explicit stack: `out` holds the resolved
+  // arguments of every open frame, each frame's from `base` on.
+  struct Frame {
+    TermId term;
+    size_t next;
+    size_t base;
+    bool changed;
+  };
+  std::vector<Frame> frames = {{t, 0, 0, false}};
+  std::vector<TermId> out;
+  TermId result = kNullTerm;
+  while (!frames.empty()) {
+    Frame& frame = frames.back();
+    auto args = pool.args(frame.term);
+    if (frame.next < args.size()) {
+      TermId arg = args[frame.next++];
+      TermId walked = Walk(arg, pool);
+      if (pool.IsCompound(walked) && !pool.IsGround(walked)) {
+        frames.push_back({walked, 0, out.size(), false});
+      } else {
+        frame.changed = frame.changed || walked != arg;
+        out.push_back(walked);
+      }
+      continue;
+    }
+    result = frame.term;
+    if (frame.changed) {
+      // functor(t) returns a reference into the pool's name table which
+      // can be invalidated by interning; copy before MakeCompound.
+      std::string functor = pool.functor(frame.term);
+      result = pool.MakeCompound(
+          functor, std::span<const TermId>(out.data() + frame.base,
+                                           out.size() - frame.base));
+    }
+    out.resize(frame.base);
+    frames.pop_back();
+    if (!frames.empty()) {
+      Frame& parent = frames.back();
+      parent.changed =
+          parent.changed || result != pool.args(parent.term)[parent.next - 1];
+      out.push_back(result);
+    }
   }
-  if (!changed) return t;
-  // functor(t) returns a reference into the pool's name table which can
-  // be invalidated by interning; copy before MakeCompound.
-  std::string functor = pool.functor(t);
-  return pool.MakeCompound(functor, resolved);
+  return result;
 }
 
 bool OccursIn(const TermPool& pool, const Substitution& subst, TermId var,
@@ -63,47 +93,52 @@ bool OccursIn(const TermPool& pool, const Substitution& subst, TermId var,
 
 bool Unify(const TermPool& pool, TermId a, TermId b, Substitution* subst,
            bool occurs_check) {
-  a = subst->Walk(a, pool);
-  b = subst->Walk(b, pool);
-  if (a == b) return true;
-  if (pool.IsVariable(a)) {
-    if (occurs_check && OccursIn(pool, *subst, a, b)) return false;
-    subst->Bind(a, b);
-    return true;
-  }
-  if (pool.IsVariable(b)) {
-    if (occurs_check && OccursIn(pool, *subst, b, a)) return false;
-    subst->Bind(b, a);
-    return true;
-  }
-  if (!pool.IsCompound(a) || !pool.IsCompound(b)) {
-    // Distinct ground atomic terms (hash-consing guarantees a != b means
-    // structural difference).
-    return false;
-  }
-  if (pool.functor(a) != pool.functor(b)) return false;
-  auto args_a = pool.args(a);
-  auto args_b = pool.args(b);
-  if (args_a.size() != args_b.size()) return false;
-  for (size_t i = 0; i < args_a.size(); ++i) {
-    if (!Unify(pool, args_a[i], args_b[i], subst, occurs_check)) {
+  for (;;) {
+    a = subst->Walk(a, pool);
+    b = subst->Walk(b, pool);
+    if (a == b) return true;
+    if (pool.IsVariable(a)) {
+      if (occurs_check && OccursIn(pool, *subst, a, b)) return false;
+      subst->Bind(a, b);
+      return true;
+    }
+    if (pool.IsVariable(b)) {
+      if (occurs_check && OccursIn(pool, *subst, b, a)) return false;
+      subst->Bind(b, a);
+      return true;
+    }
+    if (!pool.IsCompound(a) || !pool.IsCompound(b)) {
+      // Distinct ground atomic terms (hash-consing guarantees a != b
+      // means structural difference).
       return false;
     }
+    if (pool.functor(a) != pool.functor(b)) return false;
+    auto args_a = pool.args(a);
+    auto args_b = pool.args(b);
+    if (args_a.size() != args_b.size()) return false;
+    if (args_a.empty()) return true;
+    const size_t last = args_a.size() - 1;
+    for (size_t i = 0; i < last; ++i) {
+      if (!Unify(pool, args_a[i], args_b[i], subst, occurs_check)) {
+        return false;
+      }
+    }
+    a = args_a[last];
+    b = args_b[last];
   }
-  return true;
 }
 
-TermId RenameApart(TermPool& pool, TermId t,
-                   std::unordered_map<TermId, TermId>* renaming) {
+TermId RenameApart(TermPool& pool, TermId t, Renaming* renaming) {
   switch (pool.kind(t)) {
     case TermKind::kInt:
     case TermKind::kSymbol:
       return t;
     case TermKind::kVariable: {
-      auto it = renaming->find(t);
-      if (it != renaming->end()) return it->second;
+      for (const auto& [var, fresh] : *renaming) {
+        if (var == t) return fresh;
+      }
       TermId fresh = pool.FreshVariable(pool.name(t));
-      renaming->emplace(t, fresh);
+      renaming->emplace_back(t, fresh);
       return fresh;
     }
     case TermKind::kCompound: {

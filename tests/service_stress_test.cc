@@ -6,6 +6,7 @@
 // the lazy index publication and the lock protocol; under the default
 // preset it is a plain correctness smoke test.
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 
 #include "common/strings.h"
 #include "service/query_service.h"
+#include "workload/list_gen.h"
 
 namespace chainsplit {
 namespace {
@@ -114,6 +116,72 @@ TEST(ServiceStressTest, ConcurrentMixedCachedAndUncached) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(failed.load());
+}
+
+/// "[1, 2, 3]", as the service renders an integer list.
+std::string ListText(const std::vector<int64_t>& values) {
+  std::string text = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) text += ", ";
+    text += std::to_string(values[i]);
+  }
+  return text + "]";
+}
+
+TEST(ServiceStressTest, ConcurrentSldQueries) {
+  // The SLD prover runs on the calling (dispatcher) threads: four of
+  // them proving isort, qsort and append^ffb at once, uncached, each
+  // answer checked against std::sort or the expected splits.
+  QueryService service;
+  UpdateResponse seeded = service.Update(StrCat(IsortProgramSource(),
+                                                QsortProgramSource()));
+  ASSERT_TRUE(seeded.status.ok()) << seeded.status;
+
+  constexpr int kThreads = 4;
+  constexpr int kQueriesPerThread = 24;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&service, &wrong, t] {
+      RequestOptions bypass;
+      bypass.bypass_cache = true;
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        const std::vector<int64_t> values =
+            RandomInts(8 + (t + i) % 9, 0, 40, 100 * t + i);
+        std::vector<int64_t> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        const std::string list = ListText(values);
+        std::vector<std::vector<std::string>> expected;
+        std::string text;
+        switch (i % 3) {
+          case 0:
+            text = StrCat("?- isort(", list, ", Ys).");
+            expected = {{ListText(sorted)}};
+            break;
+          case 1:
+            text = StrCat("?- qsort(", list, ", Ys).");
+            expected = {{ListText(sorted)}};
+            break;
+          default:
+            text = StrCat("?- append(X, Y, ", list, ").");
+            for (size_t k = 0; k <= values.size(); ++k) {
+              expected.push_back(
+                  {ListText({values.begin(), values.begin() + k}),
+                   ListText({values.begin() + k, values.end()})});
+            }
+            break;
+        }
+        QueryResponse response = service.Query(text, bypass);
+        std::vector<std::vector<std::string>> rows = response.rows;
+        std::sort(rows.begin(), rows.end());
+        std::sort(expected.begin(), expected.end());
+        if (!response.status.ok() || rows != expected) ++wrong;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(service.stats().shared_evals, kThreads * kQueriesPerThread);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "engine/topdown.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <string>
 
 #include "ast/parser.h"
 #include "term/list_utils.h"
@@ -35,9 +38,170 @@ class TopDownTest : public ::testing::Test {
     return answers.ok() ? *answers : std::vector<std::vector<TermId>>{};
   }
 
+  /// Ask() with each row rendered as "t1 t2 ..." in discovery order.
+  std::vector<std::string> AskText(std::string_view query_text,
+                                   TopDownOptions options = {}) {
+    std::vector<std::string> out;
+    for (const auto& row : Ask(query_text, options)) {
+      std::string line;
+      for (TermId t : row) {
+        if (!line.empty()) line += " ";
+        line += db_.pool().ToString(t);
+      }
+      out.push_back(line);
+    }
+    return out;
+  }
+
   Database db_;
   TopDownStats last_stats_;
 };
+
+void ExpectStats(const TopDownStats& stats, int64_t steps, int64_t solutions,
+                 int64_t deepest) {
+  EXPECT_EQ(stats.steps, steps);
+  EXPECT_EQ(stats.solutions, solutions);
+  EXPECT_EQ(stats.deepest, deepest);
+}
+
+using Rows = std::vector<std::string>;
+
+// Pins: the exact answer order and step/solution/depth counts of the
+// depth-first, leftmost SLD search (facts before rules, rules in program
+// order). Any rewrite of the prover must reproduce them.
+TEST_F(TopDownTest, PinsAppendForward) {
+  Load(AppendProgramSource());
+  EXPECT_EQ(AskText("?- append([1, 2, 3], [4, 5], W)."),
+            (Rows{"[1, 2, 3, 4, 5]"}));
+  ExpectStats(last_stats_, 4, 1, 1);
+}
+
+TEST_F(TopDownTest, PinsAppendAllSplits) {
+  Load(AppendProgramSource());
+  EXPECT_EQ(AskText("?- append(X, Y, [1, 2, 3])."),
+            (Rows{"[] [1, 2, 3]", "[1] [2, 3]", "[1, 2] [3]", "[1, 2, 3] []"}));
+  ExpectStats(last_stats_, 4, 4, 1);
+}
+
+TEST_F(TopDownTest, PinsFreshVariablesOfOpenAppend) {
+  Load(AppendProgramSource());
+  TopDownOptions options;
+  options.max_solutions = 3;
+  // Renamed-apart rule variables show up unbound in the answers, so the
+  // order in which fresh variables are made is part of the output.
+  EXPECT_EQ(AskText("?- append(X, [a], Z).", options),
+            (Rows{"[] [a]", "[X#1] [X#1, a]", "[X#1, X#6] [X#1, X#6, a]"}));
+  ExpectStats(last_stats_, 3, 3, 1);
+}
+
+TEST_F(TopDownTest, PinsIsort) {
+  Load(IsortProgramSource());
+  EXPECT_EQ(AskText("?- isort([5, 7, 1, 3, 5], Ys)."),
+            (Rows{"[1, 3, 5, 5, 7]"}));
+  ExpectStats(last_stats_, 32, 1, 6);
+}
+
+TEST_F(TopDownTest, PinsQsort) {
+  Load(QsortProgramSource());
+  EXPECT_EQ(AskText("?- qsort([4, 9, 5, 1, 4], Ys)."),
+            (Rows{"[1, 4, 4, 5, 9]"}));
+  ExpectStats(last_stats_, 42, 1, 7);
+}
+
+TEST_F(TopDownTest, PinsFareBoundedTravelOnCyclicNetwork) {
+  // a -> b -> c -> a, b -> a and c -> b close cycles; the shrinking
+  // budget is what makes the search finite.
+  Load(R"(
+flight(1, a, b, 100). flight(2, b, c, 150). flight(3, c, a, 120).
+flight(4, b, a, 90). flight(5, a, c, 300). flight(6, c, b, 80).
+trip(A, B, Budget, [N], F) :- flight(N, A, B, F), F =< Budget.
+trip(A, B, Budget, [N|L], F) :- flight(N, A, C, F1), F1 =< Budget,
+    R is Budget - F1, trip(C, B, R, L, F2), F is F1 + F2.
+)");
+  EXPECT_EQ(AskText("?- trip(a, c, 600, L, F)."),
+            (Rows{"[5] 300", "[1, 2] 250", "[1, 2, 6, 2] 480", "[1, 4, 5] 490",
+                  "[1, 4, 1, 2] 440", "[5, 6, 2] 530"}));
+  ExpectStats(last_stats_, 207, 6, 11);
+}
+
+TEST_F(TopDownTest, PinsMaxSolutionsCutOff) {
+  Load(AppendProgramSource());
+  TopDownOptions options;
+  options.max_solutions = 2;
+  EXPECT_EQ(AskText("?- append(X, Y, [1, 2, 3, 4, 5]).", options),
+            (Rows{"[] [1, 2, 3, 4, 5]", "[1] [2, 3, 4, 5]"}));
+  ExpectStats(last_stats_, 2, 2, 1);
+}
+
+// A proof whose single branch is 50k resolution steps long, and one
+// whose pending-goal list grows to 50k goals, both solved from a thread
+// with a 256 KiB stack: proof depth must be bounded by
+// TopDownOptions::max_depth and the heap, never by a native stack.
+struct DeepProof {
+  Database* db = nullptr;
+  int64_t n = 0;
+  std::vector<int64_t> appended;
+  int64_t length = -1;
+  TopDownStats append_stats;
+  TopDownStats length_stats;
+  bool ok = false;
+};
+
+void* RunDeepProof(void* arg) {
+  auto* proof = static_cast<DeepProof*>(arg);
+  TermPool& pool = proof->db->pool();
+  const PredicateTable& preds = proof->db->program().preds();
+  std::vector<int64_t> values(proof->n);
+  for (int64_t i = 0; i < proof->n; ++i) values[i] = i;
+  TermId list = MakeIntList(pool, values);
+
+  const std::vector<int64_t> tail = {-1};
+  TermId w = pool.MakeVariable("W");
+  Atom append{preds.Find("append", 3).value(),
+              {list, MakeIntList(pool, tail), w}};
+  TopDownEvaluator append_solver(proof->db);
+  auto appended = append_solver.Answers({append}, {w});
+  if (!appended.ok() || appended->size() != 1) return nullptr;
+  auto ints = ListInts(pool, (*appended)[0][0]);
+  if (!ints.has_value()) return nullptr;
+  proof->appended = *ints;
+  proof->append_stats = append_solver.stats();
+
+  TermId n = pool.MakeVariable("N");
+  Atom len{preds.Find("len", 2).value(), {list, n}};
+  TopDownEvaluator len_solver(proof->db);
+  auto length = len_solver.Answers({len}, {n});
+  if (!length.ok() || length->size() != 1) return nullptr;
+  proof->length = pool.int_value((*length)[0][0]);
+  proof->length_stats = len_solver.stats();
+  proof->ok = true;
+  return nullptr;
+}
+
+TEST_F(TopDownTest, DeepProofNeedsNoNativeStack) {
+  Load(std::string(AppendProgramSource()) +
+       "len([], 0).\nlen([X|Xs], N) :- len(Xs, M), N is M + 1.\n");
+  DeepProof proof;
+  proof.db = &db_;
+  proof.n = 50000;
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{256} << 10), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, RunDeepProof, &proof), 0);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  ASSERT_TRUE(proof.ok);
+
+  ASSERT_EQ(proof.appended.size(), 50001u);
+  EXPECT_EQ(proof.appended.front(), 0);
+  EXPECT_EQ(proof.appended[49999], 49999);
+  EXPECT_EQ(proof.appended.back(), -1);
+  ExpectStats(proof.append_stats, 50001, 1, 1);
+
+  EXPECT_EQ(proof.length, 50000);
+  ExpectStats(proof.length_stats, 100001, 1, 50001);
+}
 
 TEST_F(TopDownTest, SolvesEdbFacts) {
   Load("e(a, b). e(a, c). e(b, d).");

@@ -113,7 +113,7 @@ TEST_F(UnifyTest, RenameApartKeepsSharing) {
   TermId x = pool_.MakeVariable("X");
   TermId args[] = {x, x, pool_.MakeVariable("Y")};
   TermId f = pool_.MakeCompound("f", args);
-  std::unordered_map<TermId, TermId> renaming;
+  Renaming renaming;
   TermId renamed = RenameApart(pool_, f, &renaming);
   ASSERT_TRUE(pool_.IsCompound(renamed));
   auto rargs = pool_.args(renamed);
@@ -126,7 +126,7 @@ TEST_F(UnifyTest, RenameApartKeepsSharing) {
 TEST_F(UnifyTest, RenameApartLeavesGroundTermsAlone) {
   std::vector<int64_t> values = {1, 2, 3};
   TermId list = MakeIntList(pool_, values);
-  std::unordered_map<TermId, TermId> renaming;
+  Renaming renaming;
   EXPECT_EQ(RenameApart(pool_, list, &renaming), list);
 }
 
